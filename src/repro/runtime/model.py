@@ -28,7 +28,7 @@ class CompiledModel:
     artifacts: api.BuildArtifacts
     name: str = ""
     #: Plan optimization mode — ``"fused"`` (epilogue fusion + buffer
-    #: arena + branch-parallel levels, the serving hot path) or
+    #: arena, the serving hot path) or
     #: ``"naive"`` (one step per layer, sequential; the baseline the
     #: runtime benchmark compares against).
     optimize: str = "fused"

@@ -1,10 +1,12 @@
 """The batched inference server.
 
 An :class:`InferenceServer` owns a bounded request queue with a dynamic
-micro-batcher (:class:`~repro.runtime.batcher.MicroBatcher`), a pool of
-N worker threads each holding its own simulator session over one
+micro-batcher (:class:`~repro.runtime.batcher.MicroBatcher`), N worker
+threads each holding its own simulator session over one
 :class:`~repro.runtime.model.CompiledModel`, and a
-:class:`~repro.runtime.metrics.MetricsRegistry`.
+:class:`~repro.runtime.metrics.MetricsRegistry`.  Workers pull their
+own batches: a busy worker leaves requests queued, so the next free
+worker takes a larger batch and the queue bound holds under load.
 
 Request lifecycle::
 
@@ -19,10 +21,11 @@ wedged simulation never crashes the serving loop.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -32,6 +35,8 @@ from repro.errors import DeepBurningError, ServingError
 from repro.runtime.batcher import MicroBatcher
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.model import CompiledModel
+
+_LOG = logging.getLogger("repro.runtime")
 
 
 @dataclass(frozen=True)
@@ -120,11 +125,15 @@ class PendingRequest:
 class InferenceServer:
     """Batched request serving over one compiled model.
 
-    ``workers`` simulator sessions drain micro-batches formed by the
-    queue policy (flush on ``max_batch_size`` or ``batch_timeout_s``);
-    ``max_queue_depth`` bounds the number of queued requests
-    (``submit`` raises :class:`~repro.errors.QueueFullError` beyond it);
-    ``request_timeout_s`` is the default per-request deadline.
+    ``workers`` threads, each with its own simulator session, pull
+    micro-batches formed by the queue policy (flush on
+    ``max_batch_size`` or ``batch_timeout_s``); one worker forms a batch
+    at a time, and requests wait in the queue while every worker is
+    busy.  ``max_queue_depth`` bounds those waiting requests
+    (``submit`` raises :class:`~repro.errors.QueueFullError` beyond it),
+    so at most ``max_queue_depth + workers * max_batch_size`` are
+    outstanding.  ``request_timeout_s`` is the default per-request
+    deadline.
     """
 
     def __init__(
@@ -148,47 +157,38 @@ class InferenceServer:
         self.metrics = metrics or MetricsRegistry()
         self._batcher = MicroBatcher(max_queue_depth, max_batch_size,
                                      batch_timeout_s)
-        self._pool: ThreadPoolExecutor | None = None
-        self._dispatcher: threading.Thread | None = None
+        #: Held by the one worker forming a batch, so idle workers do
+        #: not split a trickle of requests into batches of one.
+        self._forming = threading.Lock()
+        self._threads: list[threading.Thread] = []
         self._next_id = 0
         self._id_lock = threading.Lock()
-        self._inflight: list = []
 
     # ------------------------------------------------------------------
 
     def start(self, warm: bool = True) -> "InferenceServer":
-        if self._dispatcher is not None:
+        """Launch the workers; returns once every one has warmed its
+        session (a warm-up failure is raised here)."""
+        if self._threads:
             raise ServingError("server is already started")
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.workers,
-            thread_name_prefix="repro-runtime-worker",
-        )
+        warmed: list[Future[None]] = [Future() for _ in range(self.workers)]
+        self._threads = [
+            threading.Thread(target=self._work, args=(warm, ready),
+                             name=f"repro-runtime-worker-{index}",
+                             daemon=True)
+            for index, ready in enumerate(warmed)
+        ]
+        for thread in self._threads:
+            thread.start()
+        try:
+            for ready in warmed:
+                ready.result()
+        except BaseException:
+            self.stop()
+            raise
         if warm:
-            self._warm_sessions()
             self._publish_plan_stats()
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="repro-runtime-batcher",
-            daemon=True,
-        )
-        self._dispatcher.start()
         return self
-
-    def _warm_sessions(self) -> None:
-        """Build every worker's session state before requests arrive.
-
-        Each worker thread pays its timing replay and executor
-        construction here, not on the first live request.
-        """
-        assert self._pool is not None
-        barrier = threading.Barrier(self.workers)
-
-        def warm() -> None:
-            barrier.wait()  # pin one warmup per pool thread
-            self.model.warm_session(functional=self.functional)
-
-        futures = [self._pool.submit(warm) for _ in range(self.workers)]
-        for future in futures:
-            future.result()
 
     def _publish_plan_stats(self) -> None:
         """Mirror the shared plan's optimizer stats into gauges.
@@ -212,17 +212,11 @@ class InferenceServer:
             stats["peak_arena_bytes"])
 
     def stop(self) -> None:
-        """Drain the queue, run everything in flight, release workers."""
+        """Close the queue, let the workers drain it, then join them."""
         self._batcher.close()
-        if self._dispatcher is not None:
-            self._dispatcher.join()
-            self._dispatcher = None
-        if self._pool is not None:
-            for future in self._inflight:
-                future.result()
-            self._inflight.clear()
-            self._pool.shutdown(wait=True)
-            self._pool = None
+        for thread in self._threads:
+            thread.join()
+        self._threads = []
 
     def __enter__(self) -> "InferenceServer":
         return self.start()
@@ -272,17 +266,26 @@ class InferenceServer:
 
     # ------------------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
+    def _work(self, warm: bool, ready: Future[None]) -> None:
+        """One worker: warm this thread's session (the timing replay and
+        executor construction are paid here, not on the first live
+        request), then pull batches until the queue is closed and
+        drained."""
+        if warm:
+            try:
+                self.model.warm_session(functional=self.functional)
+            except Exception as error:
+                ready.set_exception(error)
+                return
+        ready.set_result(None)
         while True:
-            batch = self._batcher.next_batch()
+            with self._forming:
+                batch = self._batcher.next_batch()
             if not batch:
                 return
             self.metrics.counter("batches_formed").inc()
             self.metrics.histogram("batch_size").observe(len(batch))
-            assert self._pool is not None
-            self._inflight.append(self._pool.submit(self._run_batch, batch))
-            # Completed futures need no bookkeeping beyond stop().
-            self._inflight = [f for f in self._inflight if not f.done()]
+            self._run_batch(batch)
 
     def _run_batch(self, batch: list[_Request]) -> None:
         try:
@@ -307,18 +310,18 @@ class InferenceServer:
                 live.append(request)
         if not live:
             return
-        if len(live) == 1 or not self.functional:
-            for request in live:
-                self._serve_one(session, request, len(batch))
-            return
         try:
             results = session.run_batch([r.inputs for r in live],
-                                        functional=True)
-        except Exception:
+                                        functional=self.functional)
+        except Exception as error:
             # The vectorized pass is all-or-nothing (one malformed
             # input fails the stacked forward); fall back to serving
             # each request alone so one bad request cannot take down
             # its batch-mates.
+            self.metrics.counter("batch_fallbacks").inc()
+            _LOG.warning("batched pass over %d request(s) failed (%s: %s); "
+                         "serving them one at a time", len(live),
+                         type(error).__name__, error)
             for request in live:
                 self._serve_one(session, request, len(batch))
             return
@@ -344,7 +347,7 @@ class InferenceServer:
             return
         self._complete_result(request, result, batch_size)
 
-    # -- completion helpers (shared by the batched and solo paths) -----
+    # -- completion helpers (shared by the batched and fallback paths) -
 
     def _complete_timeout(self, request: _Request, batch_size: int,
                           where: str) -> None:

@@ -34,10 +34,10 @@ without round-tripping to memory:
   :class:`BufferArena`, replacing the per-flush ``np.empty`` / gather
   allocations of the naive plan.  The arena's high-water mark is
   reported through :meth:`ExecutionPlan.stats`.
-* **Branch-parallel scheduling** — nodes are topologically levelled;
-  independent branches within a level (squeezenet fire expands, resnet
-  skip paths) can execute concurrently on a shared thread pool,
-  joining at the eltwise/concat that consumes them.
+* **Level schedule** — nodes are topologically levelled and run level
+  by level, one node after another; the levels drive arena release.
+  Concurrency comes from the serving workers, each flushing its own
+  batch through the shared plan, not from threads inside one flush.
 
 ``optimize="naive"`` keeps one node per step, sequential order, and the
 original allocate-per-step kernels — the exact pre-optimizer behavior,
@@ -47,9 +47,7 @@ kept as the benchmark baseline and the bit-exactness oracle.
 from __future__ import annotations
 
 import math
-import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, cast
 
@@ -251,24 +249,6 @@ class _Scratch:
         self._arena.release(self._block)
 
 
-# ----------------------------------------------------------------------
-# Shared level-scheduling thread pool
-
-_POOL_LOCK = threading.Lock()
-_POOL: ThreadPoolExecutor | None = None
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    """The process-wide pool for branch-parallel level execution."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            workers = min(8, os.cpu_count() or 1)
-            _POOL = ThreadPoolExecutor(max_workers=max(2, workers),
-                                       thread_name_prefix="plan-level")
-        return _POOL
-
-
 @dataclass
 class LayerStep:
     """One layer of the plan: spec plus its input-independent pieces."""
@@ -340,10 +320,6 @@ class ExecutionPlan:
     #: ``"fused"`` (epilogue fusion + arena + level scheduling) or
     #: ``"naive"`` (one node per step, allocate-per-step kernels).
     optimize: str = "fused"
-    #: How independent nodes within a level execute in output-retention
-    #: mode: ``"auto"`` (threads when the host has more than one CPU),
-    #: ``"always"``, or ``"never"``.
-    parallel: str = "auto"
     # --- built by _analyze -----------------------------------------------
     nodes: list[PlanNode] = field(default_factory=list)
     #: Node indices grouped by topological level, in execution order.
@@ -648,7 +624,6 @@ class ExecutionPlan:
         state: dict[str, IntArray],
         *,
         keep: str = "all",
-        parallel: str | None = None,
     ) -> dict[str, IntArray]:
         """One vectorized forward pass; raw integer blobs, leading ``N``.
 
@@ -662,10 +637,8 @@ class ExecutionPlan:
         live on the plan's arena and are recycled at their last-use
         level, and same-shape epilogues run in place.  Both retention
         modes and both optimize modes produce bit-identical values.
-
-        ``parallel`` overrides the plan's level-scheduling mode for this
-        call (``"auto"``/``"always"``/``"never"``); it only applies to
-        ``keep="output"`` on fused plans.
+        Concurrent calls on one plan are safe: each flush keeps its
+        values in its own list and draws buffers from the locked arena.
         """
         if keep not in ("all", "output"):
             raise SimulationError(
@@ -679,19 +652,9 @@ class ExecutionPlan:
             values[0] = quantize_to_ints(source, self.input_fmt, out=buffer)
         else:
             values[0] = quantize_to_ints(inputs, self.input_fmt)
-        mode = parallel if parallel is not None else self.parallel
         for index, level in enumerate(self.levels):
-            if hot and len(level) > 1 and self._level_parallel(mode):
-                pool = _shared_pool()
-                futures: list[Future[None]] = [
-                    pool.submit(self._run_node, ni, values, state, arena)
-                    for ni in level
-                ]
-                for future in futures:
-                    future.result()
-            else:
-                for ni in level:
-                    self._run_node(ni, values, state, arena)
+            for ni in level:
+                self._run_node(ni, values, state, arena)
             if arena is not None:
                 for c in self.release_after_level[index]:
                     held = values[c]
@@ -711,14 +674,6 @@ class ExecutionPlan:
             if held is not None:
                 result[name] = cast(IntArray, held)
         return result
-
-    @staticmethod
-    def _level_parallel(mode: str) -> bool:
-        if mode == "never":
-            return False
-        if mode == "always":
-            return True
-        return (os.cpu_count() or 1) > 1
 
     def _run_node(self, ni: int, values: list[AnyArray | None],
                   state: dict[str, IntArray],

@@ -53,8 +53,8 @@ class QuantizedExecutor:
     #: one network skip re-quantization.  ``None`` quantizes here.
     quantized_weights: dict[str, dict[str, np.ndarray]] | None = None
     #: Plan optimization mode handed to :meth:`ExecutionPlan.build` —
-    #: ``"fused"`` (epilogue fusion + buffer arena + branch-parallel
-    #: levels) or ``"naive"`` (one step per layer, sequential).
+    #: ``"fused"`` (epilogue fusion + buffer arena) or ``"naive"``
+    #: (one step per layer, allocate-per-step kernels).
     plan_optimize: str = "fused"
 
     def __post_init__(self) -> None:

@@ -8,6 +8,7 @@ ingestion and the KPI/bench reports.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
@@ -52,6 +53,26 @@ def gateway(registry):
                  batch_timeout_s=0.001)
     yield gw
     gw.stop()
+
+
+class _GatedModel:
+    """A served model whose batches wait for ``gate`` before running."""
+
+    def __init__(self, model, gate: threading.Event) -> None:
+        self.model = model
+        self.gate = gate
+        self.entered = threading.Event()
+
+    def warm_session(self, functional: bool = True) -> None:
+        self.model.warm_session(functional=functional)
+
+    def session(self):
+        return self
+
+    def run_batch(self, batch, functional: bool = True):
+        self.entered.set()
+        assert self.gate.wait(timeout=30)
+        return self.model.run_batch(batch, functional=functional)
 
 
 class TestModelSpec:
@@ -352,6 +373,48 @@ class TestGateway:
         assert served.ok
         assert shed.status == "shed" and shed.code == 503
         assert "full" in shed.error
+
+    def test_overloaded_host_sheds_on_deadline(self, registry):
+        """With every worker busy, requests wait in the host queue; its
+        depth raises the service estimate until a request with a
+        deadline is shed up front rather than queued to time out."""
+        gateway = Gateway(registry=registry, workers=1, max_batch_size=2,
+                          max_queue_depth=64, batch_timeout_s=0.0)
+        key = gateway.register_tenant("crowd").api_key
+        gateway.deploy("crowd/net", SPEC)
+        host = gateway.deployment("crowd/net").host
+        gate = threading.Event()
+        host.server.model = _GatedModel(host.server.model, gate)
+        host.observe_service(0.5)  # pretend one service takes 0.5s
+        inputs = gateway.model_for("crowd/net").random_requests(1)[0]
+
+        async def scenario():
+            first = asyncio.ensure_future(gateway.infer(
+                key, "crowd/net", inputs, deadline_s=2.0))
+            for _ in range(5000):
+                if host.server.model.entered.is_set():
+                    break
+                await asyncio.sleep(0.001)
+            rest = [asyncio.ensure_future(gateway.infer(
+                key, "crowd/net", inputs, deadline_s=2.0))
+                for _ in range(20)]
+            # Admission and enqueueing run before a request's first
+            # await, so one yield submits (or sheds) all of them.
+            await asyncio.sleep(0.05)
+            gate.set()
+            return [await first] + [await r for r in rest]
+
+        try:
+            with gateway:
+                responses = asyncio.run(scenario())
+        finally:
+            gate.set()
+        shed = [r for r in responses if r.status == "shed"]
+        served = [r for r in responses if r.ok]
+        # 0.5 * (1 + backlog / 2) exceeds the 2s deadline once 7
+        # requests are queued behind the busy worker.
+        assert len(served) == 1 + 7 and len(shed) == 20 - 7
+        assert all(r.code == 503 and "deadline" in r.error for r in shed)
 
     def test_expired_deadline_is_504(self, registry):
         gateway = Gateway(registry=registry, workers=1,

@@ -1,7 +1,7 @@
-"""The graph-level plan optimizer: fusion, arena, branch parallelism.
+"""The graph-level plan optimizer: fusion, arena, level schedule.
 
-The optimizer's contract is bit-exactness: a fused, arena-allocated,
-branch-parallel plan must produce integer-identical blobs to the naive
+The optimizer's contract is bit-exactness: a fused, arena-allocated
+plan must produce integer-identical blobs to the naive
 one-step-per-layer plan AND to the per-sample ``forward_raw`` path,
 across every zoo benchmark — including the recurrent (hopfield) and
 branchy (concat/eltwise) topologies.  These tests pin that contract,
@@ -10,6 +10,8 @@ schema-2 bench report plumbing.
 """
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -109,20 +111,49 @@ class TestFusedBitExact:
 
 
 class TestBranchParallelDeterminism:
-    """Concurrent level execution is bit-identical to serial."""
+    """Branchy plans flushed from many threads at once are bit-identical
+    to serial flushes: serving workers share one fused plan and its
+    buffer arena."""
 
     @pytest.mark.parametrize("name", BRANCHY)
     def test_parallel_equals_serial(self, name):
         executor = _executor(name)
         fused = _plan(executor, "fused")
-        stacked = executor.stack_batch(_random_batch(executor, 8, seed=13))
-        serial = fused.forward_batch_raw(stacked, {}, keep="output",
-                                         parallel="never")
-        for _ in range(3):
-            threaded = fused.forward_batch_raw(stacked, {}, keep="output",
-                                               parallel="always")
-            for blob, values in serial.items():
-                np.testing.assert_array_equal(values, threaded[blob])
+        threads = 6
+        # Different batch sizes per thread put several arena size
+        # classes under contention at once.
+        batches = [executor.stack_batch(
+            _random_batch(executor, 1 + index % 4, seed=13 + index))
+            for index in range(threads)]
+        serial = [fused.forward_batch_raw(batch, {}, keep="output")
+                  for batch in batches]
+        start = threading.Barrier(threads)
+        results: list[list] = [[] for _ in range(threads)]
+
+        def flush(index: int) -> None:
+            start.wait(timeout=30)
+            for _ in range(5):
+                results[index].append(fused.forward_batch_raw(
+                    batches[index], {}, keep="output"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=flush, args=(index,))
+                       for index in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for expected, flushed in zip(serial, results):
+            assert len(flushed) == 5
+            for threaded in flushed:
+                for blob, values in expected.items():
+                    np.testing.assert_array_equal(values, threaded[blob])
+        assert fused.arena.snapshot()["in_use_bytes"] == 0
 
     def test_squeezenet_has_parallel_levels(self):
         fused = _plan(_executor("squeezenet_tiny"), "fused")

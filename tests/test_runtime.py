@@ -7,6 +7,7 @@ the session model (per-thread simulator state, bit-identical reuse).
 """
 
 import json
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -344,15 +345,27 @@ def _fake_result():
 
 
 class _StubModel:
-    """Duck-typed CompiledModel substitute for failure injection."""
+    """Duck-typed CompiledModel substitute for failure injection.
+
+    With a ``gate``, every batch waits for the event before it runs, so
+    a test can hold the workers busy; ``entered`` is set as the first
+    batch arrives and ``batches`` records each batch's size.
+    """
 
     def __init__(self, delay_s: float = 0.0,
-                 session_error: Exception | None = None) -> None:
+                 session_error: Exception | None = None,
+                 warm_error: Exception | None = None,
+                 gate: threading.Event | None = None) -> None:
         self.delay_s = delay_s
         self.session_error = session_error
+        self.warm_error = warm_error
+        self.gate = gate
+        self.entered = threading.Event()
+        self.batches: list[int] = []
 
     def warm_session(self, functional: bool = True) -> None:
-        pass
+        if self.warm_error is not None:
+            raise self.warm_error
 
     def session(self):
         if self.session_error is not None:
@@ -365,6 +378,10 @@ class _StubModel:
         return _fake_result()
 
     def run_batch(self, batch, functional: bool = True):
+        self.batches.append(len(batch))
+        self.entered.set()
+        if self.gate is not None:
+            assert self.gate.wait(timeout=30)
         if self.delay_s:
             time.sleep(self.delay_s)
         return [_fake_result() for _ in batch]
@@ -433,6 +450,144 @@ class TestInferenceServerFailurePaths:
             second = server.infer(inputs[1])
         assert len(seen) == 1 and seen[0] is first
         assert first.ok and second.ok
+
+
+class TestWorkerPull:
+    """Workers pull their own batches: busy workers leave requests in
+    the bounded queue, where the next free worker takes a full batch."""
+
+    def test_queue_bound_holds_while_workers_are_busy(self):
+        gate = threading.Event()
+        stub = _StubModel(gate=gate)
+        server = InferenceServer(stub, workers=1, max_batch_size=2,
+                                 max_queue_depth=4, batch_timeout_s=1.0)
+        try:
+            with server:
+                pending = [server.submit(np.zeros(4)) for _ in range(2)]
+                # The worker holds its full batch; the queue is empty.
+                assert stub.entered.wait(timeout=10)
+                assert server.queue_depth() == 0
+                accepted = 0
+                with pytest.raises(QueueFullError, match="full"):
+                    for _ in range(200):
+                        pending.append(server.submit(np.zeros(4)))
+                        accepted += 1
+                # max_queue_depth waiting + workers * max_batch_size held.
+                assert accepted == 4
+                assert len(pending) == 4 + 1 * 2
+                assert server.queue_depth() == 4
+                gate.set()
+        finally:
+            gate.set()
+        assert all(p.result(timeout=5).ok for p in pending)
+
+    def test_batches_grow_under_backlog(self):
+        gate = threading.Event()
+        stub = _StubModel(gate=gate)
+        server = InferenceServer(stub, workers=1, max_batch_size=4,
+                                 batch_timeout_s=0.0)
+        try:
+            with server:
+                pending = [server.submit(np.zeros(4))]
+                assert stub.entered.wait(timeout=10)
+                # 2 * max_batch_size + 1 requests pile up behind the busy
+                # worker instead of being split up as they arrive.
+                pending += [server.submit(np.zeros(4)) for _ in range(9)]
+                assert server.queue_depth() == 9
+                gate.set()
+                responses = [p.result(timeout=5) for p in pending]
+        finally:
+            gate.set()
+        assert all(r.ok for r in responses)
+        assert stub.batches == [1, 4, 4, 1]
+        assert [r.batch_size for r in responses] == [1] + [4] * 8 + [1]
+        sizes = server.metrics.histogram("batch_size")
+        assert (sizes.count, sizes.sum, sizes.max) == (4, 10, 4)
+
+    @pytest.mark.parametrize("name", ["mnist", "hopfield"])
+    def test_solo_request_rides_the_plan(self, name, monkeypatch):
+        """A batch of one goes through ``run_batch`` (the fused plan)
+        and matches the per-sample reference bit for bit, each request
+        from clean recurrent state."""
+        from repro.sim.accel import AcceleratorSimulator
+        from repro.sim.quantized import QuantizedExecutor
+
+        def per_sample_run(*args, **kwargs):
+            raise AssertionError("solo request took the per-sample path")
+
+        zoo_model = CompiledModel.from_zoo(name)
+        reference = QuantizedExecutor.from_program(
+            zoo_model.artifacts.program, zoo_model.artifacts.weights)
+        monkeypatch.setattr(AcceleratorSimulator, "run", per_sample_run)
+        stream = zoo_model.random_requests(3, seed=21)
+        with InferenceServer(zoo_model, workers=1, max_batch_size=4,
+                             batch_timeout_s=0.0) as server:
+            responses = [server.infer(x) for x in stream]
+        assert [r.batch_size for r in responses] == [1, 1, 1]
+        for inputs, response in zip(stream, responses):
+            assert response.ok, response.error
+            reference.reset_state()
+            np.testing.assert_array_equal(response.output,
+                                          reference.output(inputs))
+        assert server.metrics.counter("batch_fallbacks").value == 0
+
+    def test_malformed_input_falls_back_and_is_counted(self, model, caplog):
+        stream = model.random_requests(3, seed=22)
+        server = InferenceServer(model, workers=1, max_batch_size=4,
+                                 batch_timeout_s=0.0)
+        pending = [server.submit(x) for x in stream[:2]]
+        pending.append(server.submit(np.zeros(3)))
+        pending.append(server.submit(stream[2]))
+        with caplog.at_level("WARNING", logger="repro.runtime"):
+            with server:
+                responses = [p.result(timeout=10) for p in pending]
+        assert [r.status for r in responses] == ["ok", "ok", "error", "ok"]
+        assert all(r.batch_size == 4 for r in responses)
+        assert server.metrics.counter("batch_fallbacks").value == 1
+        warnings = [r for r in caplog.records if r.name == "repro.runtime"]
+        assert len(warnings) == 1
+        assert "one at a time" in warnings[0].getMessage()
+
+    def test_many_workers_complete_every_request_once(self):
+        """More workers than cores pulling from one queue under a short
+        switch interval: every request completes exactly once and no
+        batch exceeds the size limit."""
+        completions: list[int] = []
+        lock = threading.Lock()
+
+        def record(response: InferenceResponse) -> None:
+            with lock:
+                completions.append(response.request_id)
+
+        server = InferenceServer(_StubModel(delay_s=0.0005), workers=6,
+                                 max_batch_size=3, max_queue_depth=400,
+                                 batch_timeout_s=0.0005)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                submitters = [threading.Thread(target=lambda: [
+                    server.submit(np.zeros(4), on_complete=record)
+                    for _ in range(50)]) for _ in range(4)]
+                for thread in submitters:
+                    thread.start()
+                for thread in submitters:
+                    thread.join(timeout=30)
+                assert not any(t.is_alive() for t in submitters)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(completions) == list(range(1, 201))
+        assert server.metrics.counter("requests_completed").value == 200
+        sizes = server.metrics.histogram("batch_size")
+        assert sizes.sum == 200 and sizes.max <= 3
+
+    def test_warm_failure_raises_from_start(self):
+        server = InferenceServer(
+            _StubModel(warm_error=RuntimeError("cannot warm")), workers=3)
+        with pytest.raises(RuntimeError, match="cannot warm"):
+            server.start()
+        assert not any(t.name.startswith("repro-runtime-worker")
+                       for t in threading.enumerate())
 
 
 class TestBenchVerifier:
