@@ -24,8 +24,9 @@ exceed it:
 * ``range.accumulator-proof`` (INFO) — the no-wrap proof for a layer.
 
 When the caller supplies weights the per-row worst case uses the actual
-quantized values (``sum(w>0)*hi + sum(w<0)*lo``); otherwise the bound
-falls back to the weight format's extreme magnitude on every term.
+quantized values (``sum(w>0)*hi + sum(w<0)*lo``), read straight out of
+the program's DRAM image when it carries one; otherwise the bound falls
+back to the weight format's extreme magnitude on every term.
 """
 
 from __future__ import annotations
@@ -173,10 +174,30 @@ class _RangePass:
             entry = (weights or {}).get(spec.name)
             if not entry:
                 continue
+            stored = self._stored(spec)
             self._weights[spec.name] = {
-                key: quantize_to_ints(values, self.weight_format)
+                key: stored[key] if key in stored
+                else quantize_to_ints(values, self.weight_format)
                 for key, values in entry.items()
             }
+
+    def _stored(self, spec: LayerSpec) -> dict[str, np.ndarray]:
+        """``spec``'s quantized parameters as views of the program's
+        DRAM image, which the compiler filled with exactly these
+        weights in this format (empty without an image)."""
+        image = self.program.dram_image
+        if image is None:
+            return {}
+        region = self.program.memory_map.weights(spec.name)
+        rows, bias = region.views(image)
+        stored = {"weight": rows}
+        if spec.kind is LayerKind.RECURRENT:
+            split = region.depth - spec.num_output
+            stored = {"weight": rows[:, :split],
+                      "recurrent_weight": rows[:, split:]}
+        if bias is not None:
+            stored["bias"] = bias
+        return stored
 
     # -- helpers --------------------------------------------------------
 

@@ -125,26 +125,38 @@ class DeepBurningCompiler:
     def _build_dram_image(self, design, memory_map, weights, weight_format):
         """Quantize weights into the element-addressed DRAM image.
 
-        Feature regions are zero-initialised; the host writes the input
-        blob before launch (the simulator's job).
+        Each layer's weights and bias are quantized straight into their
+        slots of the image (a recurrent layer's state-feedback matrix
+        into the trailing columns of each row), so no flattened float
+        copy of the parameters is ever made.  Feature regions are
+        zero-initialised; the host writes the input blob before launch
+        (the simulator's job).
         """
         image = np.zeros(memory_map.total_elements, dtype=np.int64)
-        graph = design.graph
-        for spec in graph.weighted_layers():
+        for spec in design.graph.weighted_layers():
             if spec.name not in weights:
                 raise CompileError(
                     f"no trained weights supplied for layer '{spec.name}'"
                 )
             entry = weights[spec.name]
             region = memory_map.weights(spec.name)
+            rows, bias_slot = region.views(image)
             weight = np.asarray(entry["weight"], dtype=np.float64)
+            bias = entry.get("bias")
             if spec.kind is LayerKind.RECURRENT:
+                weight = weight.reshape(spec.num_output, -1)
                 recurrent = np.asarray(entry["recurrent_weight"],
                                        dtype=np.float64)
-                weight = np.concatenate(
-                    [weight.reshape(spec.num_output, -1), recurrent], axis=1)
-            flat = region.linearize(weight, entry.get("bias"))
-            raw = quantize_to_ints(flat, weight_format)
-            image[region.base_address:
-                  region.base_address + region.total_elements] = raw
+                region.check_sizes(weight.size + recurrent.size, bias)
+                split = weight.shape[1]
+                quantize_to_ints(weight, weight_format, out=rows[:, :split])
+                quantize_to_ints(recurrent, weight_format,
+                                 out=rows[:, split:])
+            else:
+                region.check_sizes(weight.size, bias)
+                quantize_to_ints(weight.reshape(rows.shape), weight_format,
+                                 out=rows)
+            if bias_slot is not None and bias is not None:
+                quantize_to_ints(np.ravel(bias), weight_format,
+                                 out=bias_slot)
         return image

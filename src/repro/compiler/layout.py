@@ -218,22 +218,36 @@ class WeightLayout:
         """Start address of the fold block at (out_start, in_start)."""
         return self.address_of(out_start, in_start)
 
+    def check_sizes(self, weight_elements: int,
+                    bias: np.ndarray | None = None) -> None:
+        """Reject a weight tensor (+bias) that does not fill the layout."""
+        if weight_elements != self.weight_elements:
+            raise LayoutError(
+                f"layer '{self.layer}': weight tensor has {weight_elements} "
+                f"elements, layout expects {self.weight_elements}"
+            )
+        if self.has_bias and bias is not None and np.size(bias) != self.rows:
+            raise LayoutError(
+                f"layer '{self.layer}': bias has {np.size(bias)} elements, "
+                f"expected {self.rows}"
+            )
+
+    def views(self, image: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """This layer's slots in a flat element-addressed image: the
+        ``(rows, depth)`` weight block and the bias vector (``None``
+        without bias), as views that read and write ``image`` itself."""
+        block = image[self.base_address:self.bias_address]
+        bias = image[self.bias_address:self.bias_address + self.rows] \
+            if self.has_bias else None
+        return block.reshape(self.rows, self.depth), bias
+
     def linearize(self, weights: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
         """Flatten a weight tensor (+bias) into layout order."""
         weights = np.asarray(weights)
-        if weights.size != self.weight_elements:
-            raise LayoutError(
-                f"layer '{self.layer}': weight tensor has {weights.size} "
-                f"elements, layout expects {self.weight_elements}"
-            )
+        self.check_sizes(weights.size, bias)
         flat = weights.reshape(self.rows, self.depth).ravel()
         if self.has_bias:
             if bias is None:
                 bias = np.zeros(self.rows, dtype=weights.dtype)
-            if bias.size != self.rows:
-                raise LayoutError(
-                    f"layer '{self.layer}': bias has {bias.size} elements, "
-                    f"expected {self.rows}"
-                )
             flat = np.concatenate([flat, np.asarray(bias).ravel()])
         return flat

@@ -49,18 +49,21 @@ def reduce_agus(design: AcceleratorDesign, coordinator_program) -> dict[str, Add
             # An AGU with nothing to do keeps the minimal template.
             table = [AccessPattern(start_address=0, x_length=1)]
         # Folds of one layer share a pattern shape; the hardware table
-        # stores one row per distinct shape, re-based per fold.
-        distinct_shapes: list[AccessPattern] = []
+        # stores one row per distinct shape, re-based per fold.  The
+        # fields a pattern exercises depend on its shape alone, so the
+        # field union needs one representative per shape.
+        distinct_shapes: dict[tuple[int, int, int, int], AccessPattern] = {}
         for pattern in table:
-            if not any(pattern.same_shape(seen) for seen in distinct_shapes):
-                distinct_shapes.append(pattern)
+            distinct_shapes.setdefault(
+                (pattern.x_length, pattern.stride, pattern.y_length,
+                 pattern.offset), pattern)
         agu = AddressGenerationUnit(
             instance,
             role=role,
             n_patterns=len(distinct_shapes),
             address_width=original.address_width,
             burst_words=original.burst_words,
-            fields=fields_for_patterns(list(table)),
+            fields=fields_for_patterns(list(distinct_shapes.values())),
         )
         design.components[instance] = agu
         reduced[instance] = agu

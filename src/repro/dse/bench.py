@@ -23,7 +23,7 @@ cap/fold-scale ladders):
 
 analytic_cold / analytic_warm
     ``run_sweep(estimator="analytic")`` on a fresh pipeline, then again
-    on the warmed one — the closed-form model, no compile, no simulator.
+    on the warmed one — the closed-form model, no simulator.
 hybrid_cold / hybrid
     ``run_sweep(estimator="hybrid")``: the wide grid analytically, then
     only the Pareto frontier + knee neighborhood through the exact

@@ -37,11 +37,6 @@ from dataclasses import replace
 import numpy as np
 
 from repro import api
-from repro.compiler.address import AddressFlowGenerator
-from repro.compiler.control import build_coordinator_program
-from repro.compiler.memmap import build_memory_map
-from repro.compiler.reduce import reduce_agus
-from repro.components.agu import AddressGenerationUnit, AGURole
 from repro.devices.device import budget_fraction, device_by_name
 from repro.dse.cache import DesignCache
 from repro.dse.result import (
@@ -77,8 +72,9 @@ def _check_estimator(estimator: str, functional: bool,
             "frontier, or estimator='exact'")
     if estimator != "exact" and static_filter:
         raise DeepBurningError(
-            "the static filter needs a compiled program, which the "
-            "analytic estimator skips; use estimator='exact'")
+            "the static filter verifies a built program and its "
+            "weights, which the analytic estimator never builds; use "
+            "estimator='exact'")
 
 
 def evaluate_point(graph: NetworkGraph, point: SweepPoint,
@@ -96,8 +92,9 @@ def evaluate_point(graph: NetworkGraph, point: SweepPoint,
     findings becomes a ``rejected`` result without ever simulating.
 
     ``estimator="analytic"`` evaluates the closed-form model
-    (:mod:`repro.estimate`) on the realized design alone — no control
-    program is compiled, no weights are built — which is what makes
+    (:mod:`repro.estimate`) on the realized design — only its
+    weight-independent compiled core is built (for the reduced AGUs), no
+    weights, DRAM image or simulation — which is what makes
     thousand-point sweeps affordable.
 
     ``pipeline`` carries the stage cache shared across the sweep (the
@@ -174,54 +171,17 @@ def evaluate_point(graph: NetworkGraph, point: SweepPoint,
                            reason=str(error))
 
 
-def _reduce_design(design: "api.AcceleratorDesign", design_key: str,
-                   pipe: BuildPipeline) -> float:
-    """Install the compile-time reduced AGUs without a full compile.
-
-    ``PointResult.lut``/``ff`` and the static-power term of the energy
-    model are read off the *compiled* design, whose template AGUs the
-    compiler has reduced to exactly the patterns the network exercises
-    (:func:`repro.compiler.reduce.reduce_agus`).  The analytic path
-    replays just that reduction — memory map, address plans,
-    coordinator tables — and memoizes the reduced AGU parameters per
-    design key, so every sweep point sharing a design pays once and
-    reports resources bit-identical to the exact path.  Re-installing
-    from memoized parameters (rather than memoizing the side effect)
-    keeps the result correct even if the design stage itself was
-    evicted and re-realised from a fresh template.
-    """
-    def build() -> dict[str, tuple[str, int, int, int, tuple[str, ...]]]:
-        memory_map = build_memory_map(design.graph, design.datapath.simd)
-        plans = AddressFlowGenerator(design, memory_map).plans()
-        coordinator = build_coordinator_program(design, plans)
-        reduced = reduce_agus(design, coordinator)
-        return {instance: (agu.role.value, agu.n_patterns,
-                           agu.address_width, agu.burst_words, agu.fields)
-                for instance, agu in reduced.items()}
-
-    params, seconds = pipe.cache.get_or_build(
-        "reduce", stage_key("reduce", design=design_key), build)
-    for instance, (role, n_patterns, width, burst, fields) in params.items():
-        current = design.components.get(instance)
-        if (isinstance(current, AddressGenerationUnit)
-                and current.n_patterns == n_patterns
-                and current.fields == tuple(fields)):
-            continue
-        design.components[instance] = AddressGenerationUnit(
-            instance, role=AGURole(role), n_patterns=n_patterns,
-            address_width=width, burst_words=burst, fields=tuple(fields))
-    return seconds
-
-
 def _evaluate_analytic(graph: NetworkGraph, point: SweepPoint,
                        pipe: BuildPipeline) -> PointResult:
-    """The estimator path: realize the design, skip compile entirely.
+    """The estimator path: realize the design, never simulate it.
 
     The closed-form report depends only on the realized design, so it
     is memoized in the pipeline's stage cache under the design key —
     a warm re-sweep reads every estimate straight out of the cache.
-    The AGU-reduction pass runs first (also memoized per design) so
-    resource and static-power figures match the compiled design.
+    The weight-independent compile runs first, through the same
+    memoized ``compile`` stage an exact replay of the point uses, so
+    resource and static-power figures match the compiled design and a
+    replayed design is compiled once per sweep, not twice.
     """
     try:
         device = device_by_name(point.device)
@@ -231,7 +191,7 @@ def _evaluate_analytic(graph: NetworkGraph, point: SweepPoint,
             point.data_format, point.weight_format,
             max_lanes=point.max_lanes, max_simd=point.max_simd,
             fold_capacity_scale=point.fold_capacity_scale)
-        reduce_s = _reduce_design(design, design_key, pipe)
+        _, compile_s = pipe.compile_core(design, design_key)
         report, estimate_s = pipe.cache.get_or_build(
             "estimate", stage_key("estimate", design=design_key),
             lambda: AnalyticEstimator(design).report())
@@ -253,8 +213,8 @@ def _evaluate_analytic(graph: NetworkGraph, point: SweepPoint,
             macs=report.macs,
             accuracy=None,
             estimator="analytic",
-            stage_s={"build_s": nngen_s + reduce_s, "nngen_s": nngen_s,
-                     "estimate_s": estimate_s},
+            stage_s={"build_s": nngen_s + compile_s, "nngen_s": nngen_s,
+                     "compile_s": compile_s, "estimate_s": estimate_s},
         )
     except DeepBurningError as error:
         return PointResult(point=point, status="infeasible",
@@ -419,10 +379,11 @@ def run_sweep(graph: NetworkGraph, spec: SweepSpec, jobs: int = 1,
 
     ``estimator`` selects the evaluator: ``"exact"`` compiles and
     event-simulates every design; ``"analytic"`` scores the closed-form
-    model on bare designs (no compile, no weights — 10-100x cheaper per
-    fresh design group); ``"hybrid"`` sweeps analytically and then
-    replays the Pareto frontier plus the knee neighborhood through the
-    exact simulator, so the reported frontier is simulator-accurate.
+    model on realized designs (a weight-independent compile, no
+    weights, no simulation — 10-100x cheaper per fresh design group);
+    ``"hybrid"`` sweeps analytically and then replays the Pareto
+    frontier plus the knee neighborhood through the exact simulator,
+    so the reported frontier is simulator-accurate.
 
     ``use_pool=None`` (the default) clamps worker processes to the
     machine's cores — surplus ``jobs`` degrade to in-process evaluation

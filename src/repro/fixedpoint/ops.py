@@ -24,7 +24,8 @@ def quantize_to_ints(values: np.ndarray, fmt: QFormat,
     shape, e.g. an arena buffer) instead of a fresh allocation.
     """
     values = np.asarray(values, dtype=np.float64)
-    scaled = np.rint(values / fmt.scale)
+    scaled = values / fmt.scale
+    np.rint(scaled, out=scaled)
     np.clip(scaled, fmt.min_int, fmt.max_int, out=scaled)
     if out is not None:
         # ``scaled`` holds exact integer-valued floats after rint/clip,

@@ -144,15 +144,18 @@ class ModelHost:
 
         The EWMA of recent completions scaled by the relative queue
         backlog: an empty queue predicts one typical service time, a
-        deep queue proportionally more.  0.0 until the first completion
-        (never shed blind).
+        deep queue proportionally more.  Every worker takes up to one
+        full batch off the queue at a time, so the backlog drains
+        ``workers * max_batch_size`` requests per service time.  0.0
+        until the first completion (never shed blind).
         """
         with self._ewma_lock:
             ewma = self._ewma_latency_s
         if ewma == 0.0:
             return 0.0
         backlog = self.server.queue_depth()
-        return ewma * (1.0 + backlog / self.max_batch_size)
+        return ewma * (1.0 + backlog / (self.server.workers
+                                        * self.max_batch_size))
 
 
 @dataclass(frozen=True)

@@ -223,31 +223,33 @@ def parallelism_caps(graph: NetworkGraph) -> tuple[int, int]:
     return _next_pow2(max_outputs), _next_pow2(max_depth)
 
 
-def choose_datapath(
+#: ``(config, functional + control cost)`` for every datapath shape the
+#: network can feed, in search order — the budget-independent part of
+#: :func:`choose_datapath`.
+CandidateTable = tuple[tuple[DatapathConfig, ResourceCost], ...]
+
+
+def datapath_candidates(
     graph: NetworkGraph,
-    budget: ResourceBudget,
     data_format: QFormat,
     weight_format: QFormat,
-    feature_demand_bits: int,
-    weight_demand_bits: int,
     phase_estimate: int = 16,
-) -> DatapathConfig:
-    """Largest (lanes, simd) whose full design fits the budget.
+) -> CandidateTable:
+    """Price every power-of-two (lanes, simd) the network can feed.
 
-    Preference order: more multipliers first, then wider simd (fewer
-    lanes) because a wide simd amortises the feature port and matches
-    Method-1 sub-block alignment.  Widths are capped by the network's
-    own parallelism — a datapath the model cannot feed is wasted area.
+    Widths are capped by the network's own parallelism — a datapath the
+    model cannot feed is wasted area.  Functional blocks and control
+    depend on the datapath shape and the network alone, so one table
+    serves every budget; only the buffers are sized per budget.
     """
     needs = NetworkNeeds.of(graph)
     max_lanes, max_simd = parallelism_caps(graph)
-    best: DatapathConfig | None = None
-    best_key: tuple[int, int] | None = None
-    lanes = 1
     lane_options = []
+    lanes = 1
     while lanes <= min(512, max_lanes):
         lane_options.append(lanes)
         lanes *= 2
+    table = []
     for simd in _SIMD_CHOICES:
         if simd > max_simd and simd > 1:
             continue
@@ -256,19 +258,50 @@ def choose_datapath(
                 lanes=lane_count, simd=simd,
                 data_format=data_format, weight_format=weight_format,
             )
-            components = dict(functional_components(config, needs))
+            components = functional_components(config, needs)
             components.update(control_components(config, phase_estimate,
                                                  phase_estimate))
-            try:
-                components.update(buffer_components(
-                    config, budget, feature_demand_bits, weight_demand_bits))
-            except ResourceError:
-                continue
-            if not estimate_design_cost(components).fits_in(budget.limit):
-                continue
-            key = (config.multipliers, simd)
-            if best_key is None or key > best_key:
-                best, best_key = config, key
+            table.append((config, estimate_design_cost(components)))
+    return tuple(table)
+
+
+def choose_datapath(
+    graph: NetworkGraph,
+    budget: ResourceBudget,
+    data_format: QFormat,
+    weight_format: QFormat,
+    feature_demand_bits: int,
+    weight_demand_bits: int,
+    phase_estimate: int = 16,
+    candidates: CandidateTable | None = None,
+) -> DatapathConfig:
+    """Largest (lanes, simd) whose full design fits the budget.
+
+    Preference order: more multipliers first, then wider simd (fewer
+    lanes) because a wide simd amortises the feature port and matches
+    Method-1 sub-block alignment.  ``candidates`` is the network's
+    :func:`datapath_candidates` table (priced here when omitted); each
+    candidate's buffers are sized for ``budget`` and added last, in the
+    order :func:`estimate_design_cost` would sum the whole design.
+    """
+    if candidates is None:
+        candidates = datapath_candidates(graph, data_format, weight_format,
+                                         phase_estimate)
+    best: DatapathConfig | None = None
+    best_key: tuple[int, int] | None = None
+    for config, cost in candidates:
+        try:
+            buffers = buffer_components(
+                config, budget, feature_demand_bits, weight_demand_bits)
+        except ResourceError:
+            continue
+        for buffer in buffers.values():
+            cost = cost + buffer.resource_cost()
+        if not cost.fits_in(budget.limit):
+            continue
+        key = (config.multipliers, config.simd)
+        if best_key is None or key > best_key:
+            best, best_key = config, key
     if best is None:
         raise ResourceError(
             f"budget {budget.label} ({budget.limit}) cannot fit even a "

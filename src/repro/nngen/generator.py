@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.components.library import ComponentLibrary, blocks_for_layer, \
     default_library
 from repro.devices.device import ResourceBudget
@@ -15,6 +17,7 @@ from repro.frontend.graph import NetworkGraph
 from repro.frontend.layers import LayerKind
 from repro.frontend.shapes import infer_shapes, weight_shape
 from repro.nngen.allocate import (
+    CandidateTable,
     NetworkNeeds,
     buffer_components,
     choose_datapath,
@@ -91,11 +94,16 @@ class NNGen:
     def datapath(self, graph: NetworkGraph, budget: ResourceBudget,
                  data_format: QFormat = DEFAULT_DATA_FORMAT,
                  weight_format: QFormat = DEFAULT_WEIGHT_FORMAT,
+                 candidates: Callable[[], CandidateTable] | None = None,
                  ) -> DatapathConfig:
         """Validate the graph and choose the budget-driven datapath.
 
         Pure function of (graph, budget, formats) — the pipeline
         memoizes it so a cap sweep pays the datapath search once.
+        ``candidates`` supplies the budget-independent
+        :func:`~repro.nngen.allocate.datapath_candidates` table, called
+        once the graph has validated; the pipeline passes its per-network
+        memo so a budget sweep prices the candidates once.
         """
         graph.validate()
         self._check_layer_support(graph)
@@ -105,6 +113,7 @@ class NNGen:
             graph, budget, data_format, weight_format,
             feature_demand_bits=feature_demand,
             weight_demand_bits=weight_demand,
+            candidates=candidates() if candidates is not None else None,
         )
 
     def realise_design(self, graph: NetworkGraph, budget: ResourceBudget,

@@ -52,6 +52,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.compiler.compiler import DeepBurningCompiler
+from repro.components.agu import AddressGenerationUnit
 from repro.devices.device import (
     Device,
     ResourceBudget,
@@ -66,6 +67,7 @@ from repro.fixedpoint.format import (
 from repro.frontend.graph import NetworkGraph
 from repro.frontend.shapes import infer_shapes
 from repro.nn.reference import init_weights
+from repro.nngen.allocate import CandidateTable, datapath_candidates
 from repro.nngen.generator import NNGen
 
 #: Stage names, in flow order (used by stats reporting and the docs).
@@ -182,6 +184,7 @@ class BuildPipeline:
         # weakref guard makes an id() collision (new graph at a dead
         # graph's address) a recompute, never a wrong answer.
         self._fingerprints: dict[int, tuple[Any, str]] = {}
+        self._candidate_tables: dict[tuple, CandidateTable] = {}
 
     # --- generic memoization ------------------------------------------
 
@@ -251,8 +254,31 @@ class BuildPipeline:
         gen = NNGen()
         return self.cache.get_or_build(
             "datapath", key,
-            lambda: gen.datapath(graph, budget, data_format=data_format,
-                                 weight_format=weight_format))
+            lambda: gen.datapath(
+                graph, budget, data_format=data_format,
+                weight_format=weight_format,
+                candidates=lambda: self._datapath_candidates(
+                    graph, fp, data_format, weight_format)))
+
+    def _datapath_candidates(self, graph: NetworkGraph, fp: str,
+                             data_format: QFormat, weight_format: QFormat):
+        """The budget-independent datapath candidate table, memoized on
+        (fingerprint, formats) for this pipeline's lifetime.
+
+        Not a stage: a budget sweep reads it once per network and format
+        pair, while a cold build on a fresh pipeline prices its
+        candidates exactly once either way.  Only the ``datapath``
+        stage builder calls this, under the stage cache's lock.
+        """
+        key = (fp, data_format.integer_bits, data_format.fraction_bits,
+               weight_format.integer_bits, weight_format.fraction_bits)
+        table = self._candidate_tables.get(key)
+        if table is None:
+            table = datapath_candidates(graph, data_format, weight_format)
+            if len(self._candidate_tables) >= 16:
+                self._candidate_tables.pop(next(iter(self._candidate_tables)))
+            self._candidate_tables[key] = table
+        return table
 
     def design_key(self, fp: str, budget: ResourceBudget, config,
                    fold_capacity_scale: float) -> str:
@@ -296,11 +322,22 @@ class BuildPipeline:
         With no calibration inputs the coordinator program, address
         plans, memory map, blob formats and LUTs depend only on the
         design, so one compiled core serves every weight set.
+
+        Compiling reduces the template AGUs of the design object it is
+        given.  A core memoized for an earlier object of the same design
+        key (the design stage evicted it and realised a fresh template)
+        has its reduced AGUs re-installed into ``design``, so every
+        caller's design carries the compiled resource bill.
         """
         key = stage_key("compile", design=design_key)
-        return self.cache.get_or_build(
+        core, seconds = self.cache.get_or_build(
             "compile", key,
             lambda: DeepBurningCompiler().compile(design, weights=None))
+        if core.design is not design:
+            for instance, component in core.design.components.items():
+                if isinstance(component, AddressGenerationUnit):
+                    design.components[instance] = component
+        return core, seconds
 
     def dram_image(self, design, core, fp: str, seed: int,
                    weights, weight_format: QFormat,

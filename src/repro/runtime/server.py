@@ -27,14 +27,17 @@ import time
 import traceback
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from repro.errors import DeepBurningError, ServingError
 from repro.runtime.batcher import MicroBatcher
-from repro.runtime.metrics import MetricsRegistry
+from repro.runtime.metrics import Gauge, MetricsRegistry
 from repro.runtime.model import CompiledModel
+
+if TYPE_CHECKING:
+    from repro.sim.plan import BufferArena
 
 _LOG = logging.getLogger("repro.runtime")
 
@@ -163,6 +166,9 @@ class InferenceServer:
         self._threads: list[threading.Thread] = []
         self._next_id = 0
         self._id_lock = threading.Lock()
+        #: Set once the plan stats are published (functional servers).
+        self._peak_gauge: Gauge | None = None
+        self._arena: BufferArena | None = None
 
     # ------------------------------------------------------------------
 
@@ -191,11 +197,11 @@ class InferenceServer:
         return self
 
     def _publish_plan_stats(self) -> None:
-        """Mirror the shared plan's optimizer stats into gauges.
+        """Mirror the shared plan's optimizer stats into gauges, once.
 
-        ``plan_peak_arena_bytes`` is refreshed after every batch as
-        well — the arena high-water mark only exists once a fused flush
-        has actually run.
+        The step counts never change; the arena high-water mark only
+        exists once a fused flush has run, so :meth:`_refresh_arena_peak`
+        updates that one gauge after every batch.
         """
         if not self.functional:
             return
@@ -208,8 +214,18 @@ class InferenceServer:
         stats = plan.stats()
         self.metrics.gauge("plan_total_steps").set(stats["total_steps"])
         self.metrics.gauge("plan_fused_steps").set(stats["fused_steps"])
-        self.metrics.gauge("plan_peak_arena_bytes").set(
-            stats["peak_arena_bytes"])
+        self._peak_gauge = self.metrics.gauge("plan_peak_arena_bytes")
+        self._peak_gauge.set(stats["peak_arena_bytes"])
+        self._arena = plan.arena
+
+    def _refresh_arena_peak(self) -> None:
+        """Copy the plan arena's high-water mark into its gauge (a
+        server started without warming publishes the plan stats after
+        its first batch instead)."""
+        if self._peak_gauge is None:
+            self._publish_plan_stats()
+        elif self._arena is not None:
+            self._peak_gauge.set(self._arena.peak_bytes)
 
     def stop(self) -> None:
         """Close the queue, let the workers drain it, then join them."""
@@ -325,9 +341,9 @@ class InferenceServer:
             for request in live:
                 self._serve_one(session, request, len(batch))
             return
+        self._refresh_arena_peak()
         for request, result in zip(live, results):
             self._complete_result(request, result, len(batch))
-        self._publish_plan_stats()
 
     def _serve_one(self, session, request: _Request,
                    batch_size: int) -> None:

@@ -11,7 +11,7 @@ failure must be caught statically.
 import dataclasses
 
 from repro import api
-from repro.analysis import verify_artifacts
+from repro.analysis import analyze_ranges, verify_artifacts
 from repro.pipeline import BuildPipeline
 from repro.sim.program_check import verify_program
 from repro.zoo.models import BENCHMARKS, benchmark_graph
@@ -51,3 +51,19 @@ def test_dynamic_failure_is_caught_statically():
     table[0] = dataclasses.replace(table[0], start_address=total + 3)
     assert not verify_program(program).ok
     assert not verify_artifacts(artifacts).ok
+
+
+def test_range_pass_reads_weights_from_the_image_exactly():
+    """The range pass takes quantized weights straight out of the
+    program's DRAM image; its findings equal re-quantizing the float
+    weights on every zoo network, recurrent ones included."""
+    for name in sorted(BENCHMARKS):
+        artifacts = api.build(benchmark_graph(name), pipeline=BuildPipeline())
+        program = artifacts.program
+        assert program.dram_image is not None
+        from_image = analyze_ranges(program, artifacts.weights)
+        requantized = analyze_ranges(
+            dataclasses.replace(program, dram_image=None), artifacts.weights)
+        assert from_image == requantized, name
+        assert any("actual quantized weights" in f.message
+                   for f in from_image), name

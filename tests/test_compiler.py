@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import api
 from repro.compiler import DeepBurningCompiler
 from repro.compiler.address import (
     AddressFlowGenerator,
@@ -13,10 +14,13 @@ from repro.compiler.control import build_coordinator_program
 from repro.compiler.memmap import build_memory_map
 from repro.compiler.patterns import expand_patterns
 from repro.devices import Z7020, Z7045, budget_fraction
-from repro.errors import CompileError
+from repro.errors import CompileError, LayoutError
+from repro.fixedpoint.ops import quantize_to_ints
 from repro.frontend.graph import graph_from_text
+from repro.frontend.layers import LayerKind
 from repro.nn.reference import init_weights
 from repro.nngen import NNGen
+from repro.zoo.models import BENCHMARKS, benchmark_graph
 
 MLP_TEXT = """
 name: "mlp"
@@ -227,6 +231,38 @@ class TestFullCompile:
         block = program.dram_image[region.base_address:
                                    region.base_address + region.weight_elements]
         assert np.any(block != 0)
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARKS))
+    def test_dram_image_equals_linearized_reference(self, name):
+        """Quantizing straight into the image slots gives the image that
+        linearizing each layer (recurrent matrix appended per row) and
+        quantizing the flat copy gives, on every zoo network."""
+        artifacts = api.build(benchmark_graph(name))
+        program = artifacts.program
+        expected = np.zeros_like(program.dram_image)
+        for spec in artifacts.graph.weighted_layers():
+            entry = artifacts.weights[spec.name]
+            region = program.memory_map.weights(spec.name)
+            weight = np.asarray(entry["weight"], dtype=np.float64)
+            if spec.kind is LayerKind.RECURRENT:
+                weight = np.concatenate(
+                    [weight.reshape(spec.num_output, -1),
+                     entry["recurrent_weight"]], axis=1)
+            flat = region.linearize(weight, entry.get("bias"))
+            expected[region.base_address:
+                     region.base_address + region.total_elements] = \
+                quantize_to_ints(flat, program.weight_format)
+        np.testing.assert_array_equal(program.dram_image, expected)
+
+    def test_image_keeps_layout_size_errors(self, mlp_design):
+        weights = init_weights(mlp_design.graph, np.random.default_rng(0))
+        weights["ip1"]["bias"] = np.zeros(3)
+        with pytest.raises(LayoutError, match="bias has 3 elements"):
+            DeepBurningCompiler().compile(mlp_design, weights=weights)
+        weights = init_weights(mlp_design.graph, np.random.default_rng(0))
+        weights["ip1"]["weight"] = weights["ip1"]["weight"][:-1]
+        with pytest.raises(LayoutError, match="weight tensor has"):
+            DeepBurningCompiler().compile(mlp_design, weights=weights)
 
     def test_missing_weights_rejected(self, mlp_design):
         with pytest.raises(CompileError):

@@ -21,6 +21,8 @@ from repro.dse import (
 from repro.dse.engine import evaluate_point
 from repro.errors import DeepBurningError
 from repro.frontend.graph import graph_from_text
+from repro.pipeline import BuildPipeline
+from repro.zoo.models import benchmark_graph
 
 SCRIPT = """
 name: "dse_net"
@@ -328,6 +330,22 @@ class TestEstimatorModes:
                 == [r.to_json() for r in exact.frontier()])
         for result in hybrid.frontier():
             assert result.estimator == "exact"
+
+    def test_hybrid_sweep_compiles_each_design_once(self):
+        """The analytic pass and the exact replay share one memoized
+        compile per realized design; no separate reduction stage."""
+        nin = benchmark_graph("nin")
+        pipe = BuildPipeline()
+        spec = SweepSpec(fractions=(0.1, 0.3, 0.8),
+                         fold_capacity_scales=(1.0, 0.5))
+        sweep = run_sweep(nin, spec, jobs=1, pipeline=pipe,
+                          estimator="hybrid")
+        assert sweep.replayed > 0
+        assert all(result.feasible for result in sweep.results)
+        groups = len(spec.points()) - sweep.design_shared - sweep.deduped
+        assert pipe.cache.stats["compile"].misses == groups
+        assert pipe.cache.stats["compile"].hits >= sweep.replayed
+        assert "reduce" not in pipe.cache.stats
 
     def test_stage_split_names_the_evaluator(self, graph):
         exact = evaluate_point(graph, SweepPoint(fraction=0.3))

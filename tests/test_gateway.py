@@ -416,6 +416,29 @@ class TestGateway:
         assert len(served) == 1 + 7 and len(shed) == 20 - 7
         assert all(r.code == 503 and "deadline" in r.error for r in shed)
 
+    def test_shed_threshold_scales_with_workers(self, registry):
+        """Each worker drains up to a full batch per service time, so a
+        host with more workers tolerates a deeper queue before its
+        estimate passes a request's deadline."""
+        def backlog_at_shed(workers: int) -> int:
+            gateway = Gateway(registry=registry, workers=workers,
+                              max_batch_size=2, max_queue_depth=64)
+            gateway.deploy("scale/net", SPEC)
+            host = gateway.deployment("scale/net").host
+            host.observe_service(0.5)
+            inputs = gateway.model_for("scale/net").random_requests(1)[0]
+            # Never started: submitted requests stay queued.
+            backlog = 0
+            while host.service_estimate_s() <= 2.0:
+                host.server.submit(inputs)
+                backlog += 1
+            return backlog
+
+        # 0.5 * (1 + backlog / (workers * 2)) first exceeds 2.0 s at a
+        # backlog of 7 with one worker and 49 with eight.
+        assert backlog_at_shed(1) == 7
+        assert backlog_at_shed(8) == 49
+
     def test_expired_deadline_is_504(self, registry):
         gateway = Gateway(registry=registry, workers=1,
                           batch_timeout_s=0.0)

@@ -4,12 +4,26 @@ import pytest
 
 from repro.devices import Z7020, Z7045, budget_fraction
 from repro.errors import ResourceError
-from repro.fixedpoint.format import DEFAULT_DATA_FORMAT, DEFAULT_WEIGHT_FORMAT
+from repro.fixedpoint.format import (
+    DEFAULT_DATA_FORMAT,
+    DEFAULT_WEIGHT_FORMAT,
+    QFormat,
+)
 from repro.frontend.graph import graph_from_text
 from repro.frontend.layers import LayerKind
 from repro.frontend.shapes import infer_shapes, macs_for_layer
 from repro.nngen import NNGen, build_folding_plan, choose_datapath
+from repro.nngen.allocate import (
+    NetworkNeeds,
+    buffer_components,
+    control_components,
+    estimate_design_cost,
+    functional_components,
+    parallelism_caps,
+)
 from repro.nngen.design import DatapathConfig
+from repro.pipeline import BuildPipeline
+from repro.zoo.models import benchmark_graph
 
 MLP_TEXT = """
 name: "mlp"
@@ -58,6 +72,67 @@ class TestChooseDatapath:
         with pytest.raises(ResourceError):
             choose_datapath(graph, budget, DEFAULT_DATA_FORMAT,
                             DEFAULT_WEIGHT_FORMAT, 1 << 12, 1 << 12)
+
+    @pytest.mark.parametrize("name", ("ann0", "mnist", "hopfield", "cmac",
+                                      "mobilenet_tiny", "alexnet"))
+    def test_priced_once_equals_whole_design_search(self, name):
+        """The per-budget pass over one memoized candidate table picks
+        exactly what pricing every whole design per budget picks, over
+        the design-flow grid plus a budget nothing fits."""
+        graph = benchmark_graph(name)
+        pipe = BuildPipeline()
+        fp = pipe.fingerprint(graph)
+        for device in (Z7020, Z7045):
+            for fraction in (0.001, 0.05, 0.1, 0.2, 0.3, 0.4, 0.8):
+                budget = budget_fraction(device, fraction)
+                for data_format in (QFormat(8, 8), QFormat(6, 10)):
+                    expected = _whole_design_search(
+                        graph, budget, data_format, DEFAULT_WEIGHT_FORMAT)
+                    try:
+                        chosen, _ = pipe.datapath(graph, fp, budget,
+                                                  data_format,
+                                                  DEFAULT_WEIGHT_FORMAT)
+                    except ResourceError as error:
+                        chosen = str(error)
+                    assert chosen == expected, (device.name, fraction,
+                                                data_format)
+        # One table per format pair, shared by all fourteen budgets.
+        assert len(pipe._candidate_tables) == 2
+
+
+def _whole_design_search(graph, budget, data_format, weight_format):
+    """Reference search: price every candidate's whole design (datapath,
+    control and buffers) afresh for this budget; the error text when
+    nothing fits."""
+    feature, weight = NNGen._demands(graph, data_format, weight_format)
+    needs = NetworkNeeds.of(graph)
+    max_lanes, max_simd = parallelism_caps(graph)
+    best = best_key = None
+    for simd in (16, 8, 4, 2, 1):
+        if simd > max_simd and simd > 1:
+            continue
+        lanes = 1
+        while lanes <= min(512, max_lanes):
+            config = DatapathConfig(lanes=lanes, simd=simd,
+                                    data_format=data_format,
+                                    weight_format=weight_format)
+            lanes *= 2
+            components = functional_components(config, needs)
+            components.update(control_components(config, 16, 16))
+            try:
+                components.update(buffer_components(config, budget,
+                                                    feature, weight))
+            except ResourceError:
+                continue
+            if not estimate_design_cost(components).fits_in(budget.limit):
+                continue
+            key = (config.multipliers, simd)
+            if best_key is None or key > best_key:
+                best, best_key = config, key
+    if best is None:
+        return (f"budget {budget.label} ({budget.limit}) cannot fit even a "
+                "1-lane datapath")
+    return best
 
 
 class TestFoldingPlanDense:

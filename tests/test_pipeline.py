@@ -146,6 +146,21 @@ class TestTransparency:
         warm_out = api.simulate(warm).output
         np.testing.assert_array_equal(cold_out, warm_out)
 
+    def test_evicted_design_gets_the_compiled_agus(self, mnist):
+        """A design re-realised after eviction, whose compiled core is
+        still memoized, carries that core's reduced AGUs."""
+        pipe = BuildPipeline()
+        cold = api.build(mnist, fraction=0.2, weights=None, pipeline=pipe)
+        pipe.cache._stores["design"].clear()
+        rebuilt = api.build(mnist, fraction=0.2, weights=None, pipeline=pipe)
+        assert rebuilt.design is not cold.design
+        assert rebuilt.program is cold.program
+        assert rebuilt.design.resource_report() == \
+            cold.design.resource_report()
+        for role in ("main", "data", "weight"):
+            assert rebuilt.design.component(f"agu_{role}") is \
+                cold.design.component(f"agu_{role}")
+
     def test_staged_build_equals_private_pipeline_build(self, mnist):
         shared = api.build(mnist, fraction=0.3)
         private = api.build(mnist, fraction=0.3,

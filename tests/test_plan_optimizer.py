@@ -273,6 +273,37 @@ class TestServingIntegration:
         assert server.metrics.gauge("plan_fused_steps").value > 0
         assert server.metrics.gauge("plan_peak_arena_bytes").value > 0
 
+    def test_peak_arena_gauge_follows_flushes(self, monkeypatch):
+        """The step gauges are published once, at start; after every
+        batch only the arena high-water gauge is refreshed, and it
+        keeps following the arena past the first fused flush."""
+        from repro.pipeline import reset_default_pipeline
+        from repro.runtime import CompiledModel, InferenceServer
+
+        reset_default_pipeline()  # a fresh plan, its arena unused
+        stats_calls = []
+        original = ExecutionPlan.stats
+        monkeypatch.setattr(
+            ExecutionPlan, "stats",
+            lambda plan: stats_calls.append(plan) or original(plan))
+        model = CompiledModel.from_zoo("mnist", fraction=0.2)
+        server = InferenceServer(model, workers=1, max_batch_size=8,
+                                 batch_timeout_s=0.05)
+        gauge = server.metrics.gauge("plan_peak_arena_bytes")
+        arena = model.execution_plan.arena
+        requests = model.random_requests(9, seed=4)
+        try:
+            with server:
+                assert server.submit(requests[0]).result().ok
+                single = gauge.value
+                assert single == arena.peak_bytes > 0
+                pending = [server.submit(inputs) for inputs in requests[1:]]
+                assert all(request.result().ok for request in pending)
+                assert gauge.value == arena.peak_bytes > single
+        finally:
+            reset_default_pipeline()
+        assert len(stats_calls) == 1
+
     def test_model_spec_optimize_is_part_of_key(self):
         from repro.gateway.registry import ModelSpec, ModelRegistry
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.compiler import DeepBurningCompiler
 from repro.compiler.patterns import AccessPattern
 from repro.compiler.reduce import fields_for_patterns, reduce_agus
@@ -9,6 +10,8 @@ from repro.devices import Z7020, Z7045, budget_fraction
 from repro.errors import CompileError
 from repro.frontend.graph import graph_from_text
 from repro.nngen import NNGen
+from repro.pipeline import BuildPipeline
+from repro.zoo.models import BENCHMARKS, benchmark_graph
 
 MLP_TEXT = """
 name: "mlp"
@@ -112,8 +115,30 @@ class TestReduceInCompile:
         weight_agu = design.component("agu_weight")
         # Folds of one layer share a pattern shape, so the hardware table
         # is no deeper than the number of distinct shapes.
-        shapes = []
-        for pattern in program.coordinator.weight_table:
-            if not any(pattern.same_shape(s) for s in shapes):
-                shapes.append(pattern)
-        assert weight_agu.n_patterns == len(shapes)
+        shapes, _ = _quadratic_reduction(program.coordinator.weight_table)
+        assert weight_agu.n_patterns == shapes
+
+
+def _quadratic_reduction(table):
+    """The reference reduction: pairwise shape comparison over the table,
+    fields unioned over every pattern."""
+    if not table:
+        table = [AccessPattern(start_address=0, x_length=1)]
+    shapes = []
+    for pattern in table:
+        if not any(pattern.same_shape(s) for s in shapes):
+            shapes.append(pattern)
+    return len(shapes), fields_for_patterns(list(table))
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARKS))
+def test_reduction_matches_quadratic_oracle_on_zoo(name):
+    artifacts = api.build(benchmark_graph(name), weights=None,
+                          pipeline=BuildPipeline())
+    coordinator = artifacts.program.coordinator
+    tables = {"agu_main": coordinator.main_table,
+              "agu_data": coordinator.data_table,
+              "agu_weight": coordinator.weight_table}
+    for instance, table in tables.items():
+        agu = artifacts.design.component(instance)
+        assert (agu.n_patterns, agu.fields) == _quadratic_reduction(table)
